@@ -29,24 +29,17 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# The full-run byte-identity test covers the parallel engine at full
-# fan-out, and the wedge regression drives it through the watchdog — so
-# this step is also the race-detector pass over the parallel engine's
-# barrier and exchange paths (docs/PARALLEL.md).
 race:
 	$(GO) test -race -timeout 30m ./internal/experiments/... ./internal/lint/...
-	$(GO) test -race -timeout 30m -run 'TestEnginesByteIdenticalFullRuns|TestWatchdogCatchesWedgeOnNonZeroPartitionParallel' .
+	$(GO) test -race -timeout 30m -run 'TestEnginesByteIdenticalFullRuns|TestWatchdogCatchesWedgeOnNonZeroPartition' .
 	$(GO) test -race -timeout 30m -run 'TestEngines|TestSanitize|TestParseEngine|TestQuietVsWake|TestMaxCycles' ./internal/core/
 
 # Hint-soundness smoke: a cheap three-benchmark subset to natural
 # completion under the sanitizer engine (every claimed-idle window
-# stepped and verified; see DESIGN.md §9), then the same subset under
-# the partition-parallel engine — whose outputs the byte-identity tests
-# pin to the serial engines'. The full capped suites run under
-# `go test .` (TestSanitizeSuite, TestParallelEngineByteIdenticalAcrossSuite).
+# stepped and verified; see DESIGN.md §9). The full capped suite runs
+# under `go test .` (TestSanitizeSuite).
 sanitize:
 	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT -scale 0.125 -engine sanitize
-	$(GO) run ./cmd/nubasim -bench DWT2D,BH,MVT -scale 0.125 -engine parallel
 
 # The seeded fault-injection stress matrix (docs/ROBUSTNESS.md): every
 # fault class injected into a short run and caught by the layer that

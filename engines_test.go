@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/nuba-gpu/nuba/internal/core"
@@ -39,36 +40,68 @@ type cappedCapture struct {
 	outcome string // "drained" or the run error text
 }
 
-// runCapped executes b on cfg under engine e, tolerating (and recording)
-// the MaxCycles error a capped run ends in. It drives internal/core
-// directly because the public Run returns no Result for a capped run,
-// while the cross-engine comparison needs the stats snapshot either way.
-func runCapped(t *testing.T, cfg Config, b Benchmark, e Engine) cappedCapture {
-	return runCappedWorkers(t, cfg, b, e, 0)
+// cappedKey identifies one capped run: the configuration, the
+// benchmark, the engine and the watchdog window (0 = off).
+type cappedKey struct {
+	cfg    string
+	bench  string
+	engine Engine
+	window int64
 }
 
-// runCappedWorkers is runCapped with EngineParallel's worker count
-// pinned (0 = one worker per partition; other engines ignore it).
-func runCappedWorkers(t *testing.T, cfg Config, b Benchmark, e Engine, workers int) cappedCapture {
+// cappedEntry computes its capture at most once per test binary.
+type cappedEntry struct {
+	once sync.Once
+	cap  cappedCapture
+	err  error
+}
+
+// cappedRuns (cappedKey -> *cappedEntry) caches capped captures across
+// tests. The suite tests compare different engines and watchdog
+// settings against the same reference runs (the hybrid engine, watchdog
+// off, serves three of them), and every run is deterministic, so each
+// one is simulated once.
+var cappedRuns sync.Map
+
+// runCapped executes b on cfg under engine e with the forward-progress
+// watchdog armed at window (0 = off), tolerating (and recording) the
+// MaxCycles error a capped run ends in; any other error fails the test.
+// Results are cached per (cfg, benchmark, engine, window). It drives
+// internal/core directly because the public Run returns no Result for
+// a capped run, while the comparisons need the stats snapshot either
+// way.
+func runCapped(t *testing.T, cfg Config, b Benchmark, e Engine, window int64) cappedCapture {
 	t.Helper()
+	key := cappedKey{cfg: cfg.Fingerprint(), bench: b.Abbr, engine: e, window: window}
+	v, _ := cappedRuns.LoadOrStore(key, new(cappedEntry))
+	ent := v.(*cappedEntry)
+	ent.once.Do(func() { ent.cap, ent.err = simulateCapped(cfg, b, e, window) })
+	if ent.err != nil {
+		t.Fatalf("%s: %v engine, watchdog %d: %v", b.Abbr, e, window, ent.err)
+	}
+	return ent.cap
+}
+
+// simulateCapped is runCapped's uncached body.
+func simulateCapped(cfg Config, b Benchmark, e Engine, window int64) (cappedCapture, error) {
 	g, err := core.New(cfg)
 	if err != nil {
-		t.Fatalf("%s: %v", b.Abbr, err)
+		return cappedCapture{}, err
 	}
 	g.SetEngine(e)
-	g.SetPartitionWorkers(workers)
+	g.SetWatchdog(window)
 	var series bytes.Buffer
 	tr := trace.New(trace.Options{Series: &series, EpochCycles: 10_000}, cfg.CoreClockGHz)
 	tr.Begin(trace.Meta{Bench: b.Abbr, Config: cfg.Name(), Partitions: cfg.NumPartitions()})
 	g.AttachTracer(tr)
 	launches, err := b.Build(g.NewBuffer)
 	if err != nil {
-		t.Fatalf("%s: build: %v", b.Abbr, err)
+		return cappedCapture{}, fmt.Errorf("build: %w", err)
 	}
 	outcome := "drained"
 	if err := g.RunProgramContext(context.Background(), launches); err != nil {
 		if !strings.Contains(err.Error(), "exceeded MaxCycles") {
-			t.Fatalf("%s: %v engine: unexpected error: %v", b.Abbr, e, err)
+			return cappedCapture{}, fmt.Errorf("unexpected error: %w", err)
 		}
 		outcome = err.Error()
 	}
@@ -79,7 +112,7 @@ func runCappedWorkers(t *testing.T, cfg Config, b Benchmark, e Engine, workers i
 		report:  fmt.Sprintf("%+v\n%s", *st, DetailTable(st)),
 		series:  series.Bytes(),
 		outcome: outcome,
-	}
+	}, nil
 }
 
 func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {
@@ -93,8 +126,8 @@ func TestEnginesByteIdenticalAcrossSuite(t *testing.T) {
 
 	var drained, capped int
 	for _, b := range Suite() {
-		naive := runCapped(t, cfg, b, EngineNaive)
-		hybrid := runCapped(t, cfg, b, EngineHybrid)
+		naive := runCapped(t, cfg, b, EngineNaive, 0)
+		hybrid := runCapped(t, cfg, b, EngineHybrid, 0)
 		if naive.outcome != hybrid.outcome {
 			t.Errorf("%s: outcomes diverge\nnaive:  %s\nhybrid: %s", b.Abbr, naive.outcome, hybrid.outcome)
 		}
@@ -137,8 +170,8 @@ func TestSanitizeSuite(t *testing.T) {
 	cfg := NUBAConfig().Scale(0.125)
 	cfg.MaxCycles = 256 * 1024
 	for _, b := range Suite() {
-		san := runCapped(t, cfg, b, EngineSanitize)
-		hybrid := runCapped(t, cfg, b, EngineHybrid)
+		san := runCapped(t, cfg, b, EngineSanitize, 0)
+		hybrid := runCapped(t, cfg, b, EngineHybrid, 0)
 		if san.outcome != hybrid.outcome {
 			t.Errorf("%s: outcomes diverge\nsanitize: %s\nhybrid:   %s", b.Abbr, san.outcome, hybrid.outcome)
 		}
@@ -148,46 +181,6 @@ func TestSanitizeSuite(t *testing.T) {
 		}
 		if !bytes.Equal(san.series, hybrid.series) {
 			t.Errorf("%s: NDJSON epoch traces diverge between engines", b.Abbr)
-		}
-	}
-}
-
-// TestParallelEngineByteIdenticalAcrossSuite extends the cross-engine
-// byte-identity guarantee to the partition-parallel engine at every
-// interesting worker count: 1 (the inline degenerate — barrier schedule,
-// no goroutines), 2 (partitions split across a real worker plus the
-// coordinator, exercising the exchange queues and the VM gate across
-// goroutines) and NumPartitions (maximum fan-out, one worker per
-// partition). Each must match the serial naive reference byte for byte
-// — counters, rendered report and streamed NDJSON trace — on all 29
-// capped benchmarks. The barrier/exchange paths this walks are also run
-// under the race detector (`make race` / CI), which is what makes
-// "deterministic" here a checked claim rather than a hope.
-func TestParallelEngineByteIdenticalAcrossSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed; runs every benchmark four times")
-	}
-	cfg := NUBAConfig().Scale(0.125)
-	cfg.MaxCycles = 256 * 1024
-	workerCounts := []int{1, 2, cfg.NumPartitions()}
-	for _, b := range Suite() {
-		naive := runCapped(t, cfg, b, EngineNaive)
-		if len(naive.series) == 0 {
-			t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
-		}
-		for _, w := range workerCounts {
-			par := runCappedWorkers(t, cfg, b, EngineParallel, w)
-			if naive.outcome != par.outcome {
-				t.Errorf("%s: outcomes diverge at %d workers\nnaive:    %s\nparallel: %s",
-					b.Abbr, w, naive.outcome, par.outcome)
-			}
-			if naive.report != par.report {
-				t.Errorf("%s: reports diverge at %d workers\nnaive:    %s\nparallel: %s",
-					b.Abbr, w, naive.report, par.report)
-			}
-			if !bytes.Equal(naive.series, par.series) {
-				t.Errorf("%s: NDJSON epoch traces diverge at %d workers", b.Abbr, w)
-			}
 		}
 	}
 }
@@ -216,11 +209,11 @@ func TestEnginesByteIdenticalFullRuns(t *testing.T) {
 		series []byte
 		chrome []byte
 	}
-	runAll := func(e Engine, extra ...RunOption) []capture {
+	runAll := func(e Engine) []capture {
 		t.Helper()
 		type sinks struct{ series, chrome bytes.Buffer }
 		byIdx := make([]sinks, len(benches))
-		opts := append([]RunOption{
+		results, err := RunSuite(context.Background(), cfg, benches,
 			WithEngine(e),
 			WithBenchTrace(func(b Benchmark) *TraceOptions {
 				for i := range benches {
@@ -230,9 +223,7 @@ func TestEnginesByteIdenticalFullRuns(t *testing.T) {
 				}
 				t.Errorf("unknown benchmark %s", b.Abbr)
 				return nil
-			}),
-		}, extra...)
-		results, err := RunSuite(context.Background(), cfg, benches, opts...)
+			}))
 		if err != nil {
 			t.Fatalf("%v engine: %v", e, err)
 		}
@@ -249,27 +240,19 @@ func TestEnginesByteIdenticalFullRuns(t *testing.T) {
 
 	naive := runAll(EngineNaive)
 	hybrid := runAll(EngineHybrid)
-	// The parallel engine goes through the public RunSuite path too, at
-	// full fan-out, covering the kernel-boundary flush, the final drain
-	// and the finished Chrome trace stream a capped run never reaches.
-	parallel := runAll(EngineParallel, WithPartitionWorkers(0))
-	compare := func(name string, got []capture) {
-		for i, b := range benches {
-			if naive[i].report != got[i].report {
-				t.Errorf("%s: reports diverge between engines\nnaive: %s\n%s: %s",
-					b.Abbr, naive[i].report, name, got[i].report)
-			}
-			if !bytes.Equal(naive[i].series, got[i].series) {
-				t.Errorf("%s: NDJSON epoch traces diverge between naive and %s", b.Abbr, name)
-			}
-			if !bytes.Equal(naive[i].chrome, got[i].chrome) {
-				t.Errorf("%s: Chrome traces diverge between naive and %s", b.Abbr, name)
-			}
-			if len(naive[i].series) == 0 || len(naive[i].chrome) == 0 {
-				t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
-			}
+	for i, b := range benches {
+		if naive[i].report != hybrid[i].report {
+			t.Errorf("%s: reports diverge between engines\nnaive: %s\nhybrid: %s",
+				b.Abbr, naive[i].report, hybrid[i].report)
+		}
+		if !bytes.Equal(naive[i].series, hybrid[i].series) {
+			t.Errorf("%s: NDJSON epoch traces diverge between naive and hybrid", b.Abbr)
+		}
+		if !bytes.Equal(naive[i].chrome, hybrid[i].chrome) {
+			t.Errorf("%s: Chrome traces diverge between naive and hybrid", b.Abbr)
+		}
+		if len(naive[i].series) == 0 || len(naive[i].chrome) == 0 {
+			t.Errorf("%s: empty trace — comparison is vacuous", b.Abbr)
 		}
 	}
-	compare("hybrid", hybrid)
-	compare("parallel", parallel)
 }

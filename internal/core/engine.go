@@ -27,11 +27,6 @@ const (
 	// cross-checking each component's state signature against its wake
 	// hint, and fails the run on the first unsound hint.
 	EngineSanitize
-	// EngineParallel simulates partitions on separate goroutines,
-	// synchronizing at the phase barriers tick-phase-order pins
-	// (parallel.go). Results stay byte-identical to the serial engines
-	// at every worker count.
-	EngineParallel
 )
 
 // engines is the single registry behind String, ParseEngine,
@@ -46,7 +41,6 @@ var engines = []struct {
 	{EngineHybrid, "hybrid", "idle-skip cycle loop (default)"},
 	{EngineNaive, "naive", "tick every component every cycle (serial reference)"},
 	{EngineSanitize, "sanitize", "hybrid with per-cycle hint-soundness checks (slow)"},
-	{EngineParallel, "parallel", "partition-parallel cycle loop (deterministic goroutine workers)"},
 }
 
 // String returns the engine's flag spelling.

@@ -74,26 +74,10 @@ type GPU struct {
 	// wd is the forward-progress watchdog, nil unless armed with
 	// SetWatchdog (see watchdog.go).
 	wd *watchdog
-	// par is the partition-parallel engine state (parallel.go), built
-	// lazily on the first EngineParallel batch for configurations the
-	// parallel cycle supports; nil for every serial engine and for
-	// fallback configurations. parWorkers is the requested worker count
-	// (0 = one worker per partition); parTried latches the capability
-	// probe.
-	par        *parState
-	parWorkers int
-	parTried   bool
 
 	// migQueue holds background page-copy traffic awaiting channel space.
 	migQueue    *sim.Queue[*sim.MemReq]
 	nextMigScan sim.Cycle
-
-	// dbgToMemSum/dbgToMemCnt accumulate L1-miss-to-memory-controller
-	// latency for diagnostics, sharded per partition (indexed by the
-	// request's home-slice partition) so the parallel engine's phase-B
-	// workers never share an accumulator.
-	dbgToMemSum, dbgToMemCnt []int64
-	dbgFillSum, dbgFillCnt   []int64
 
 	// invalQueue holds SM-side UBA coherence invalidations awaiting
 	// inter-half link space.
@@ -125,12 +109,6 @@ func New(cfg config.Config) (*GPU, error) {
 	g.mapper = addrmap.New(&g.cfg)
 	g.drv = driver.New(&g.cfg, g.mapper)
 	g.vmsys = vm.NewSystem(&g.cfg, g.drv, g.stats)
-
-	parts := cfg.NumPartitions()
-	g.dbgToMemSum = make([]int64, parts)
-	g.dbgToMemCnt = make([]int64, parts)
-	g.dbgFillSum = make([]int64, parts)
-	g.dbgFillCnt = make([]int64, parts)
 
 	for i := 0; i < cfg.NumSMs; i++ {
 		part := g.cfg.PartitionOfSM(i)

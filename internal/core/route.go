@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/nuba-gpu/nuba/internal/addrmap"
 	"github.com/nuba-gpu/nuba/internal/config"
-	"github.com/nuba-gpu/nuba/internal/metrics"
 	"github.com/nuba-gpu/nuba/internal/noc"
 	"github.com/nuba-gpu/nuba/internal/sim"
 )
@@ -64,21 +63,17 @@ func (g *GPU) replicating() bool {
 }
 
 // accountService classifies a serviced L1 miss for the Figure 9 breakdown.
-func (g *GPU) accountService(req *sim.MemReq) { g.accountServiceTo(g.stats, req) }
-
-// accountServiceTo is accountService into an explicit sink; the parallel
-// engine's phase-B workers pass their partition's stats shard.
-func (g *GPU) accountServiceTo(st *metrics.Stats, req *sim.MemReq) {
+func (g *GPU) accountService(req *sim.MemReq) {
 	if req.SM < 0 {
 		return
 	}
 	if req.Remote {
-		st.RemoteAccesses++
+		g.stats.RemoteAccesses++
 		return
 	}
-	st.LocalAccesses++
+	g.stats.LocalAccesses++
 	if req.Replicated {
-		st.ReplicatedAccesses++
+		g.stats.ReplicatedAccesses++
 	}
 }
 
@@ -167,12 +162,7 @@ func (g *GPU) drainMigQueue() {
 // channels.
 func (g *GPU) wire() {
 	for _, s := range g.sms {
-		// gatedVMRequest forwards to vmsys.Request; under the parallel
-		// engine it first serializes callers into partition order (the
-		// VM system is the one shared branch-sensitive structure on the
-		// SM tick path — see parallel.go). Serial engines pay one nil
-		// check.
-		s.VMRequest = g.gatedVMRequest
+		s.VMRequest = g.vmsys.Request
 		s.PageLookup = g.pageLookup(s.Part)
 	}
 	for _, ch := range g.chans {
@@ -211,17 +201,9 @@ func (g *GPU) wire() {
 }
 
 // storeDone retires a committed store at its SM (no wire traffic; see
-// DESIGN.md on acknowledgements). The acknowledging slice may sit in a
-// different partition than the store's SM, so during the parallel
-// engine's memory phase the ack is parked in the slice's outbox and
-// replayed at the phase barrier in slice-ID order — exactly the order
-// the serial engines produce it in (parallel.go).
+// DESIGN.md on acknowledgements).
 func (g *GPU) storeDone(req *sim.MemReq, now sim.Cycle) {
 	if req.SM < 0 {
-		return
-	}
-	if p := g.par; p != nil && p.inPhase {
-		p.ackOut[req.Slice] = append(p.ackOut[req.Slice], storeAck{req: req, now: now})
 		return
 	}
 	g.accountService(req)
@@ -230,11 +212,6 @@ func (g *GPU) storeDone(req *sim.MemReq, now sim.Cycle) {
 
 // sliceMiss issues an LLC miss or writeback to the owning channel.
 func (g *GPU) sliceMiss(req *sim.MemReq, now sim.Cycle) bool {
-	if req.SM >= 0 && req.Kind == sim.Load {
-		p := g.cfg.PartitionOfSlice(req.Slice)
-		g.dbgToMemSum[p] += int64(now - req.Issue)
-		g.dbgToMemCnt[p]++
-	}
 	ch := g.mapper.Channel(req.Addr)
 	if g.cfg.Arch == config.UBASMSide {
 		srcHalf := g.moduleOfSlice(req.Slice)
@@ -254,11 +231,6 @@ func (g *GPU) sliceMiss(req *sim.MemReq, now sim.Cycle) bool {
 // memRespond routes a finished DRAM read back to the slice that missed.
 func (g *GPU) memRespond(req *sim.MemReq) {
 	now := g.cycle
-	if req.SM >= 0 && req.Kind == sim.Load {
-		p := g.cfg.PartitionOfSlice(req.Slice)
-		g.dbgFillSum[p] += int64(now - req.Issue)
-		g.dbgFillCnt[p]++
-	}
 	if req.SM < 0 && req.Kind == sim.Load {
 		return // page-copy read: no consumer
 	}
@@ -388,20 +360,7 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 			req.ReplicaSlice = g.partitionSlice(part, req.Addr)
 		}
 		if g.mdrProf != nil {
-			// The profiler's shadow tags are LRU (order-dependent), so
-			// during the parallel engine's SM phase the observation is
-			// parked per SM and replayed at the phase barrier in SM-ID
-			// order — the serial engines' exact order (parallel.go). The
-			// captured fields (Addr, Kind, ReadOnly) never mutate after
-			// send, so deferred replay sees identical inputs.
-			if p := g.par; p != nil && p.inPhase {
-				p.obsOut[smID] = append(p.obsOut[smID], mdrObs{
-					req: req, home: req.Slice, local: local,
-					replicaWouldBe: g.partitionSlice(part, req.Addr), now: now,
-				})
-			} else {
-				g.mdrProf.Observe(req, req.Slice, local, g.partitionSlice(part, req.Addr), now)
-			}
+			g.mdrProf.Observe(req, req.Slice, local, g.partitionSlice(part, req.Addr), now)
 		}
 		g.recordPlacementAccess(req, part)
 		bytes := sim.MessageBytes(req, false)
@@ -413,16 +372,7 @@ func (g *GPU) nubaSend(smID, part int) func(*sim.MemReq, sim.Cycle) bool {
 // moveNUBARequestLinks delivers arrived requests from SM links into local
 // slices or onto the NoC.
 func (g *GPU) moveNUBARequestLinks(now sim.Cycle) {
-	g.moveNUBARequestLinksRange(0, len(g.smReqLinks), now)
-}
-
-// moveNUBARequestLinksRange drains the SM request links in [lo, hi).
-// Every destination it touches is partition-local to the source SM (its
-// own slices, or its own NoC injection port), so the parallel engine's
-// phase-A workers call it for their partitions' SM ranges.
-func (g *GPU) moveNUBARequestLinksRange(lo, hi int, now sim.Cycle) {
-	for smID := lo; smID < hi; smID++ {
-		link := g.smReqLinks[smID]
+	for smID, link := range g.smReqLinks {
 		part := g.cfg.PartitionOfSM(smID)
 		for {
 			req, ok := link.Peek(now)
@@ -501,24 +451,13 @@ func (g *GPU) nubaForward(sliceID int) func(*sim.MemReq, sim.Cycle) bool {
 
 // moveNUBAReplyLinks delivers replies from slice links to their SMs.
 func (g *GPU) moveNUBAReplyLinks(now sim.Cycle) {
-	g.moveNUBAReplyLinksRange(0, len(g.sliceReplyLinks), g.stats, now)
-}
-
-// moveNUBAReplyLinksRange drains the slice reply links in [lo, hi) into
-// their SMs, accounting into st. A partition's reply links only ever
-// carry replies for that partition's SMs (nubaSliceReply routes remote
-// requesters over the NoC instead), so the parallel engine's phase-B
-// workers call it for their partitions' slice ranges with the
-// partition's stats shard.
-func (g *GPU) moveNUBAReplyLinksRange(lo, hi int, st *metrics.Stats, now sim.Cycle) {
-	for s := lo; s < hi; s++ {
-		link := g.sliceReplyLinks[s]
+	for _, link := range g.sliceReplyLinks {
 		for {
 			req, ok := link.Pop(now)
 			if !ok {
 				break
 			}
-			g.accountServiceTo(st, req)
+			g.accountService(req)
 			g.sms[req.SM].AcceptReply(req, now)
 		}
 	}

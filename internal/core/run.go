@@ -91,15 +91,6 @@ const batchCycles = 64
 // is clamped at MaxCycles so a runaway workload stops exactly at the
 // configured limit instead of overshooting by up to a whole batch.
 func (g *GPU) runUntilIdle(ctx context.Context) error {
-	if g.engine == EngineParallel {
-		// The parallel engine's background workers live exactly as long
-		// as one runUntilIdle call: the pool is cheap to start relative
-		// to a kernel's cycle count, and scoping it here means the
-		// experiment pool can hold many GPUs without leaking goroutines.
-		if stop := g.startParWorkers(); stop != nil {
-			defer stop()
-		}
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			g.stats.Cycles = int64(g.cycle)
@@ -121,8 +112,6 @@ func (g *GPU) runUntilIdle(ctx context.Context) error {
 				g.collect()
 				return err
 			}
-		case EngineParallel:
-			g.advanceToParallel(target)
 		default:
 			g.advanceTo(target)
 		}
@@ -300,7 +289,6 @@ func (g *GPU) kernelBoundaryFlush() {
 
 // collect aggregates component counters into the run statistics.
 func (g *GPU) collect() {
-	g.foldShards()
 	var dramReads, dramWrites, rowHits, rowMisses int64
 	for _, ch := range g.chans {
 		dramReads += ch.Reads
@@ -315,11 +303,11 @@ func (g *GPU) collect() {
 
 	var nocBytes, nocFlits int64
 	for _, x := range g.reqXbars {
-		nocBytes += x.Bytes()
+		nocBytes += x.Bytes
 		nocFlits += x.BusyCycles()
 	}
 	for _, x := range g.replyXbars {
-		nocBytes += x.Bytes()
+		nocBytes += x.Bytes
 		nocFlits += x.BusyCycles()
 	}
 	for _, l := range g.interHalf {

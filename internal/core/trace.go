@@ -59,10 +59,6 @@ func (g *GPU) traceSample(now sim.Cycle) {
 	if elapsed <= 0 {
 		return
 	}
-	// Under the parallel engine, SM/slice counters live in per-partition
-	// shards until end of run; sample a non-destructive merged view so
-	// the emitted deltas match the serial engines byte for byte.
-	stats := g.statsView()
 	g.tr.epoch++
 	s := trace.EpochSample{Epoch: g.tr.epoch, Cycle: now, Cycles: int64(elapsed)}
 
@@ -84,11 +80,11 @@ func (g *GPU) traceSample(now sim.Cycle) {
 	var nocBytes int64
 	for _, x := range g.reqXbars {
 		occ += x.Occupancy()
-		nocBytes += x.Bytes()
+		nocBytes += x.Bytes
 	}
 	for _, x := range g.replyXbars {
 		occ += x.Occupancy()
-		nocBytes += x.Bytes()
+		nocBytes += x.Bytes
 	}
 	for _, l := range g.interHalf {
 		if l != nil {
@@ -111,26 +107,26 @@ func (g *GPU) traceSample(now sim.Cycle) {
 		s.NoCUtil = float64(s.NoCBytes) / (float64(elapsed) * float64(capacity))
 	}
 
-	dAcc := stats.LLCAccesses - g.tr.llcAcc
-	dHits := stats.LLCHits - g.tr.llcHits
-	g.tr.llcAcc, g.tr.llcHits = stats.LLCAccesses, stats.LLCHits
+	dAcc := g.stats.LLCAccesses - g.tr.llcAcc
+	dHits := g.stats.LLCHits - g.tr.llcHits
+	g.tr.llcAcc, g.tr.llcHits = g.stats.LLCAccesses, g.stats.LLCHits
 	if dAcc > 0 {
 		s.LLCHitRate = float64(dHits) / float64(dAcc)
 		s.LLCMissRate = float64(dAcc-dHits) / float64(dAcc)
 	}
 
-	place := stats.LocalAccesses + stats.RemoteAccesses
+	place := g.stats.LocalAccesses + g.stats.RemoteAccesses
 	dPlace := place - g.tr.placement
-	dLocal := stats.LocalAccesses - g.tr.local
-	dRep := stats.ReplicatedAccesses - g.tr.replicated
-	g.tr.placement, g.tr.local, g.tr.replicated = place, stats.LocalAccesses, stats.ReplicatedAccesses
+	dLocal := g.stats.LocalAccesses - g.tr.local
+	dRep := g.stats.ReplicatedAccesses - g.tr.replicated
+	g.tr.placement, g.tr.local, g.tr.replicated = place, g.stats.LocalAccesses, g.stats.ReplicatedAccesses
 	if dPlace > 0 {
 		s.LocalFrac = float64(dLocal) / float64(dPlace)
 		s.RepHitRate = float64(dRep) / float64(dPlace)
 	}
 
-	dReplies := stats.Replies - g.tr.replies
-	g.tr.replies = stats.Replies
+	dReplies := g.stats.Replies - g.tr.replies
+	g.tr.replies = g.stats.Replies
 	s.RepliesPerCycle = float64(dReplies) / float64(elapsed)
 
 	s.DRAMGroupBusy = g.traceGroupBusy(elapsed)
@@ -198,7 +194,7 @@ func (g *GPU) traceMDRDecision(ev mdr.DecisionEvent) {
 		PredFullRepBPC: ev.PredFullRep,
 		ApplyAt:        ev.ApplyAt,
 	}
-	replies := g.statsView().Replies
+	replies := g.stats.Replies
 	if dc := ev.Now - g.tr.mdrCycle; dc > 0 {
 		d.ObservedBPC = float64(replies-g.tr.mdrReplies) * float64(sim.LineSize) / float64(dc)
 	}

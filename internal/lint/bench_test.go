@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkNubalint measures a full analyzer pass — all sixteen rules
+// BenchmarkNubalint measures a full analyzer pass — all fifteen rules
 // over the real module with the real policy — excluding the one-time
 // parse/type-check (Load), which is amortized across rules in the CLI
 // too. This is the `make lint` inner loop; the module-wide use graph

@@ -57,7 +57,7 @@ func TestFixtureGolden(t *testing.T) {
 	}
 }
 
-// TestEveryRuleFires asserts the fixture exercises all sixteen rules
+// TestEveryRuleFires asserts the fixture exercises all fifteen rules
 // (plus the directive pseudo-rule), so a rule that silently stops
 // matching cannot hide behind a stale golden file.
 func TestEveryRuleFires(t *testing.T) {

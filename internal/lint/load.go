@@ -11,7 +11,6 @@
 //	config-liveness     every audited config knob is read by the simulator
 //	metrics-liveness    every counter is written by the model and reported
 //	unit-consistency    nubaunit dimensional analysis over annotated values
-//	deprecated-api      scoped packages never call deprecated root functions
 //	hint-purity         declared wake hints are transitively side-effect-free
 //	engine-contract     every ticked component is declared and exposes a hint
 //	partition-isolation partition-owned fields accept only sanctioned writers

@@ -23,8 +23,8 @@ import (
 //     only originate from the struct's own package or from the seam
 //     functions/files declared in `writers partition-isolation` (the
 //     core's wiring of callbacks and request-id allocators). Anything
-//     else is a cross-partition mutation that would make ROADMAP item
-//     2's partition-parallel engine nondeterministic.
+//     else is a cross-partition mutation that would make any
+//     partition-parallel simulation nondeterministic.
 //
 // OwnershipReport (nubalint -ownership) prints the audited field →
 // writers map for manual auditing of the same data.

@@ -70,7 +70,7 @@ import (
 //	    declared seam; the crossing is recorded in the shard map.
 //
 //	shared <rule> = <class>:<spec...>
-//	    Classifies shared state for the partition-parallel plan. <class>
+//	    Classifies shared state for the partition plan. <class>
 //	    is one of partition, commutative, barrier-exchange, message or
 //	    unsafe; <spec> is a package ("internal/metrics"), a type
 //	    ("internal/sim.Link") or a field ("internal/vm.TLB.entries"),

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path"
 	"sort"
 	"strings"
 )
@@ -29,7 +28,7 @@ const (
 	RuleLayering = "import-layering"
 	// RuleCtx flags context.Background()/context.TODO() calls inside
 	// functions that already receive a context.Context: resetting the
-	// chain detaches callees from cancellation below RunContext.
+	// chain detaches callees from cancellation below nuba.Run.
 	RuleCtx = "ctx-propagation"
 	// RuleGoroutine flags go statements inside cycle-level model
 	// packages; concurrency belongs to the experiment engine.
@@ -46,12 +45,6 @@ const (
 	// RuleUnits flags mixed-unit arithmetic between expressions whose
 	// units are known from //nubaunit: annotations. See units.go.
 	RuleUnits = "unit-consistency"
-	// RuleDeprecatedAPI flags calls to deprecated functions of the module
-	// root package (those whose doc comment carries a "Deprecated:"
-	// paragraph). The policy scopes it to cmd/*: the CLIs must use the
-	// unified nuba.Run surface, while tests keep the compatibility
-	// wrappers exercised.
-	RuleDeprecatedAPI = "deprecated-api"
 	// RuleHintPurity flags side effects (field or package-variable
 	// writes, channel operations, goroutine starts) and unanalyzable
 	// external calls in the wake-hint methods listed in
@@ -80,8 +73,8 @@ const (
 	// everything they transitively call) that reaches another partition
 	// component's state, or dispatches through a func-typed port of its
 	// own component that is not declared in `seams shard-footprint`.
-	// Declared seams stop the traversal: they are where the future
-	// partition-parallel engine will exchange work at barriers. See
+	// Declared seams stop the traversal: they are where a
+	// partition-parallel engine would exchange work at barriers. See
 	// shardsafety.go.
 	RuleShardFootprint = "shard-footprint"
 	// RuleShardShared flags shared mutable state reachable from a
@@ -111,10 +104,9 @@ const (
 func AllRules() []string {
 	return []string{
 		RuleMapRange, RuleWallclock, RuleLayering, RuleCtx, RuleGoroutine,
-		RuleConfigLive, RuleMetricsLive, RuleUnits, RuleDeprecatedAPI,
-		RuleHintPurity, RuleEngineContract, RulePartitionIsolation,
-		RuleFaultContainment, RuleShardFootprint, RuleShardShared,
-		RuleTickPhaseOrder,
+		RuleConfigLive, RuleMetricsLive, RuleUnits, RuleHintPurity,
+		RuleEngineContract, RulePartitionIsolation, RuleFaultContainment,
+		RuleShardFootprint, RuleShardShared, RuleTickPhaseOrder,
 	}
 }
 
@@ -148,7 +140,6 @@ var ruleFuncs = map[string]func(*pkgCtx){
 	RuleLayering:         checkLayering,
 	RuleCtx:              checkCtx,
 	RuleGoroutine:        checkGoroutine,
-	RuleDeprecatedAPI:    checkDeprecatedAPI,
 	RuleFaultContainment: checkFaultContainment,
 }
 
@@ -175,9 +166,6 @@ type pkgCtx struct {
 	pol     *Policy
 	pkg     *Package
 	emitPos emitFunc
-	// deprecated is the module-wide deprecated root-API set, computed
-	// once in Run and shared by every package's deprecated-api check.
-	deprecated map[string]bool
 }
 
 // --- nondet-map-range ------------------------------------------------
@@ -559,63 +547,6 @@ func isContextType(t types.Type) bool {
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
-// --- deprecated-api --------------------------------------------------
-
-// deprecatedRootFuncs collects the exported functions of the module's
-// root package whose doc comment contains a "Deprecated:" paragraph (the
-// godoc convention). The root package must be among the loaded targets;
-// when it is not (a narrowed lint invocation), the set is empty and the
-// rule finds nothing.
-func deprecatedRootFuncs(prog *Program) map[string]bool {
-	out := make(map[string]bool)
-	for _, pkg := range prog.Pkgs {
-		if pkg.RelName() != "." {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Recv != nil || fn.Doc == nil || !fn.Name.IsExported() {
-					continue
-				}
-				if strings.Contains(fn.Doc.Text(), "Deprecated:") {
-					out[fn.Name.Name] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// checkDeprecatedAPI flags calls from in-scope packages to deprecated
-// root-package entry points. Resolution goes through the type info, so a
-// local identifier shadowing the package name does not fool it, and only
-// the module's own API counts.
-func checkDeprecatedAPI(c *pkgCtx) {
-	if !c.pol.InScope(RuleDeprecatedAPI, c.pkg.RelName()) {
-		return
-	}
-	deprecated := c.deprecated
-	if len(deprecated) == 0 {
-		return
-	}
-	for _, f := range c.pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			pkg, name := pkgFuncCall(c.pkg.Info, call)
-			if pkg == c.prog.Mod.Path && deprecated[name] {
-				base := path.Base(pkg)
-				c.emitPos(call.Pos(), RuleDeprecatedAPI,
-					fmt.Sprintf("call to deprecated %s.%s; use the unified entry point %s.Run (with Run options)", base, name, base))
-			}
-			return true
-		})
-	}
-}
-
 // --- goroutine-in-core -----------------------------------------------
 
 func checkGoroutine(c *pkgCtx) {
@@ -623,12 +554,6 @@ func checkGoroutine(c *pkgCtx) {
 		return
 	}
 	for _, f := range c.pkg.Files {
-		// Per-file exemptions (`allow goroutine-in-core = <file>`) carve
-		// out the partition-parallel engine's worker pool, the one
-		// sanctioned concurrency seam inside the cycle-level model.
-		if c.pol.Allowed(RuleGoroutine, c.prog.RelFile(f.Pos()), c.pkg.RelName()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				c.emitPos(g.Go, RuleGoroutine,

@@ -7,7 +7,7 @@ import (
 
 // TestRepoLintsClean runs the real analyzer, with the real committed
 // lint.policy, over the real module — the same invocation as
-// `go run ./cmd/nubalint ./...` — under all sixteen rules. The repo
+// `go run ./cmd/nubalint ./...` — under all fifteen rules. The repo
 // must stay finding-free: a new unsorted map range on the report path,
 // a stray time.Now in a model package, an import edge outside the DAG,
 // a config knob no simulator package reads, a Stats counter nothing
@@ -18,8 +18,8 @@ import (
 // footprint, unclassified shared state on a tick path or a phase-order
 // drift fails this test (and with it `make check` and CI).
 func TestRepoLintsClean(t *testing.T) {
-	if n := len(AllRules()); n != 16 {
-		t.Fatalf("AllRules() has %d rules, want 16; update this test and the docs", n)
+	if n := len(AllRules()); n != 15 {
+		t.Fatalf("AllRules() has %d rules, want 15; update this test and the docs", n)
 	}
 	mod, err := FindModule("../..")
 	if err != nil {

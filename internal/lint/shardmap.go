@@ -3,20 +3,17 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 )
 
 // The shard map: `nubalint -shardmap` renders the shard-safety
 // analysis (shardsafety.go) as deterministic JSON, committed under
-// docs/ so CI can fail on drift. The map is the design artifact the
-// partition-parallel engine will be built against: per component, what
-// its tick closure touches and through which seams work leaves; per
-// seam, what the barrier-side code touches; per engine phase, the
-// declared order and any cross-phase traffic on attention-worthy
-// state.
+// docs/ so CI can fail on drift. The map documents the partition seam:
+// per component, what its tick closure touches and through which seams
+// work leaves; per seam, what the barrier-side code touches; per engine
+// phase, the declared order and any cross-phase traffic on
+// attention-worthy state.
 
 // ShardMap is the JSON document (schema nuba-shardmap/v1).
 type ShardMap struct {
@@ -116,9 +113,6 @@ func ShardMapJSON(prog *Program, pol *Policy) ([]byte, error) {
 	if !a.enabled {
 		return nil, fmt.Errorf("shardmap: no `structs shard-footprint` entries in the policy")
 	}
-	if err := checkParallelGrouping(prog, a); err != nil {
-		return nil, fmt.Errorf("shardmap: %w", err)
-	}
 	m := &ShardMap{Schema: "nuba-shardmap/v1", Components: []ShardComponent{}, Seams: []ShardSeam{}}
 	for _, cl := range a.comps {
 		m.Components = append(m.Components, ShardComponent{
@@ -156,86 +150,6 @@ func ShardMapJSON(prog *Program, pol *Policy) ([]byte, error) {
 		return nil, err
 	}
 	return append(out, '\n'), nil
-}
-
-// checkParallelGrouping is the stale-shardmap guard for the runtime:
-// the partition-parallel engine declares the component types it groups
-// onto workers in a `parallelGrouping` manifest (internal/core), and
-// that declaration must match the analyzed shard components exactly —
-// in both directions. An engine grouping a type the analysis has not
-// proven partition-safe, or a proven component the engine does not
-// group, fails map generation (and therefore `make shardmap` and the
-// committed-map drift test) naming the component, before the stale
-// JSON can be committed. No manifest (the engine deleted) disables the
-// check; the footprint analysis itself still governs.
-func checkParallelGrouping(prog *Program, a *shardAnalysis) error {
-	grouping, pos, ok := parallelGroupingManifest(prog)
-	if !ok {
-		return nil
-	}
-	analyzed := make(map[string]bool, len(a.comps))
-	for _, cl := range a.comps {
-		analyzed[cl.name] = true
-	}
-	declared := make(map[string]bool, len(grouping))
-	for _, name := range grouping {
-		declared[name] = true
-		if !analyzed[name] {
-			return fmt.Errorf("%s: parallel engine groups %q, which is not a proven shard component (structs shard-footprint in lint.policy)",
-				siteString(prog, pos), name)
-		}
-	}
-	for _, cl := range a.comps {
-		if !declared[cl.name] {
-			return fmt.Errorf("%s: shard component %q is missing from the parallel engine's partition grouping (parallelGrouping in internal/core)",
-				siteString(prog, pos), cl.name)
-		}
-	}
-	return nil
-}
-
-// parallelGroupingManifest extracts the engine's declared grouping: the
-// string elements of `var parallelGrouping = []string{...}` in
-// internal/core. Reported ok only when the declaration exists with a
-// literal initializer.
-func parallelGroupingManifest(prog *Program) ([]string, token.Pos, bool) {
-	pkg := prog.pkgByRel("internal/core")
-	if pkg == nil {
-		return nil, token.NoPos, false
-	}
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if name.Name != "parallelGrouping" || i >= len(vs.Values) {
-						continue
-					}
-					lit, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						return nil, name.Pos(), false
-					}
-					var out []string
-					for _, elt := range lit.Elts {
-						if bl, ok := elt.(*ast.BasicLit); ok && bl.Kind == token.STRING {
-							if s, err := strconv.Unquote(bl.Value); err == nil {
-								out = append(out, s)
-							}
-						}
-					}
-					return out, name.Pos(), true
-				}
-			}
-		}
-	}
-	return nil, token.NoPos, false
 }
 
 // effectiveClass names the class the checks actually applied to acc

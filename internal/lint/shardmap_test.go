@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -35,7 +34,7 @@ func loadRepo(t *testing.T) (*Program, *Policy) {
 //	REGEN=1 go test ./internal/lint -run TestShardMapMatchesCommitted
 //
 // and inspect the diff — a footprint object appearing or changing class
-// is a semantic change to the partition-parallel plan, not noise.
+// is a semantic change to the partition plan, not noise.
 func TestShardMapMatchesCommitted(t *testing.T) {
 	prog, pol := loadRepo(t)
 	got, err := ShardMapJSON(prog, pol)
@@ -55,47 +54,6 @@ func TestShardMapMatchesCommitted(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("docs/shardmap.json is stale: the partition plan drifted from the code.\nRegenerate with `make shardmap` (or REGEN=1 go test ./internal/lint -run TestShardMapMatchesCommitted) and review the diff.")
-	}
-}
-
-// TestParallelGroupingGuard pins the stale-shardmap guard on the real
-// repo: the engine's parallelGrouping manifest must be extracted from
-// internal/core, and checkParallelGrouping must fail — naming the
-// component — in both drift directions (the engine grouping an unproven
-// type; a proven component the engine does not group).
-func TestParallelGroupingGuard(t *testing.T) {
-	prog, pol := loadRepo(t)
-	grouping, _, ok := parallelGroupingManifest(prog)
-	if !ok {
-		t.Fatal("parallelGrouping manifest not found in internal/core")
-	}
-	comps := pol.Structs(RuleShardFootprint)
-	if len(grouping) == 0 || len(grouping) != len(comps) {
-		t.Fatalf("manifest %v does not cover the policy's shard components %v", grouping, comps)
-	}
-
-	mkAnalysis := func(names ...string) *shardAnalysis {
-		a := &shardAnalysis{}
-		for _, n := range names {
-			a.comps = append(a.comps, newShardClosure(n, "component", nil))
-		}
-		return a
-	}
-	// Matching sets: the guard must pass (this is the real repo's state).
-	if err := checkParallelGrouping(prog, mkAnalysis(grouping...)); err != nil {
-		t.Errorf("guard fails on a matching grouping: %v", err)
-	}
-	// The engine groups a type the analysis no longer proves.
-	missing := grouping[len(grouping)-1]
-	err := checkParallelGrouping(prog, mkAnalysis(grouping[:len(grouping)-1]...))
-	if err == nil || !strings.Contains(err.Error(), missing) {
-		t.Errorf("guard missed an unproven grouped type; want error naming %q, got %v", missing, err)
-	}
-	// The analysis proves a component the engine does not group.
-	extra := "internal/fake.Widget"
-	err = checkParallelGrouping(prog, mkAnalysis(append(append([]string{}, grouping...), extra)...))
-	if err == nil || !strings.Contains(err.Error(), extra) {
-		t.Errorf("guard missed an ungrouped component; want error naming %q, got %v", extra, err)
 	}
 }
 

@@ -8,11 +8,10 @@ import (
 	"strings"
 )
 
-// Shard-safety analysis: the static proof obligations of the planned
-// partition-parallel engine (ROADMAP item 2), checked before that
-// engine exists. The partition plan runs each partition's components
-// (SMs, LLC slices, DRAM channels) on their own shard and exchanges
-// work only at cycle barriers, so three things must already be true of
+// Shard-safety analysis: the static proof that the sequential code keeps
+// NUBA's partition seam. A partition plan would run each partition's
+// components (SMs, LLC slices, DRAM channels) on their own shard and
+// exchange work only at cycle barriers, so three things must hold of
 // the sequential code:
 //
 //   - shard-footprint: a partition component's tick closure — its Tick
@@ -37,7 +36,7 @@ import (
 //
 //   - tick-phase-order: the engine's per-cycle phase sequence (`funcs
 //     tick-phase-order`: driver then phases in order) is what the
-//     barrier schedule will replay; see checkTickPhaseOrder.
+//     barrier schedule would replay; see checkTickPhaseOrder.
 //
 // `nubalint -shardmap` (shardmap.go) renders the same analysis as a
 // JSON partition map committed under docs/.

@@ -3,15 +3,12 @@
 package app
 
 import (
-	"example.com/fixture"
 	"example.com/fixture/engine"
 	"example.com/fixture/simcore"
 )
 
-// Main exercises the imports; the RunOld call is the deprecated-api
-// positive.
+// Main exercises the imports.
 func Main() {
 	engine.Drive(map[string]int{"a": 1}, func() {})
 	simcore.Spawn(func() {})
-	fixture.RunOld()
 }

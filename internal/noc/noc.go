@@ -46,12 +46,6 @@ type inPort struct {
 	q        *sim.Queue[Msg]
 	nextFree sim.Cycle
 	busy     int64
-	// bytes and msgs count traffic accepted at this port. Keeping the
-	// counters per port (summed on read by Bytes/Messages) lets the
-	// partition-parallel engine inject on partition-owned ports from
-	// different goroutines without sharing an accumulator.
-	bytes int64
-	msgs  int64
 }
 
 // Crossbar is a hierarchical switch with inPorts input ports and outPorts
@@ -65,6 +59,10 @@ type Crossbar struct {
 	// mid[ig*outGroups+og] carries ingress group ig -> egress group og.
 	mid []*sim.Link[Msg]
 	out []*sim.Link[Msg]
+
+	// Bytes and Messages count accepted traffic.
+	Bytes    int64
+	Messages int64
 
 	// flt is the nil-gated fault-injection hook (never set outside
 	// tests; see InjectStall).
@@ -139,28 +137,9 @@ func (x *Crossbar) Inject(port int, now sim.Cycle, m Msg) bool {
 	p.nextFree = now + ser
 	p.busy += int64(ser)
 	p.q.Push(m)
-	p.bytes += int64(m.Bytes)
-	p.msgs++
+	x.Bytes += int64(m.Bytes)
+	x.Messages++
 	return true
-}
-
-// Bytes returns the total payload bytes accepted across all input
-// ports.
-func (x *Crossbar) Bytes() int64 {
-	var t int64
-	for i := range x.in {
-		t += x.in[i].bytes
-	}
-	return t
-}
-
-// Messages returns the total messages accepted across all input ports.
-func (x *Crossbar) Messages() int64 {
-	var t int64
-	for i := range x.in {
-		t += x.in[i].msgs
-	}
-	return t
 }
 
 // InjectStall freezes the crossbar from cycle from onward: Tick becomes

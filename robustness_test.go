@@ -9,42 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/nuba-gpu/nuba/internal/core"
 	"github.com/nuba-gpu/nuba/internal/fault"
-	"github.com/nuba-gpu/nuba/internal/trace"
 )
-
-// runCappedWatchdog mirrors runCapped (engines_test.go) with the
-// forward-progress watchdog armed at the given window (0 = off).
-func runCappedWatchdog(t *testing.T, cfg Config, b Benchmark, window int64) cappedCapture {
-	t.Helper()
-	g, err := core.New(cfg)
-	if err != nil {
-		t.Fatalf("%s: %v", b.Abbr, err)
-	}
-	g.SetWatchdog(window)
-	var series bytes.Buffer
-	tr := trace.New(trace.Options{Series: &series, EpochCycles: 10_000}, cfg.CoreClockGHz)
-	tr.Begin(trace.Meta{Bench: b.Abbr, Config: cfg.Name(), Partitions: cfg.NumPartitions()})
-	g.AttachTracer(tr)
-	launches, err := b.Build(g.NewBuffer)
-	if err != nil {
-		t.Fatalf("%s: build: %v", b.Abbr, err)
-	}
-	outcome := "drained"
-	if err := g.RunProgramContext(context.Background(), launches); err != nil {
-		if !strings.Contains(err.Error(), "exceeded MaxCycles") {
-			t.Fatalf("%s: window=%d: unexpected error: %v", b.Abbr, window, err)
-		}
-		outcome = err.Error()
-	}
-	st := g.Stats()
-	return cappedCapture{
-		report:  fmt.Sprintf("%+v\n%s", *st, DetailTable(st)),
-		series:  series.Bytes(),
-		outcome: outcome,
-	}
-}
 
 // TestWatchdogSuiteNoFalsePositives is the watchdog's false-positive
 // proof over the whole Table 2 suite: with the watchdog armed, every
@@ -60,8 +26,8 @@ func TestWatchdogSuiteNoFalsePositives(t *testing.T) {
 	cfg := NUBAConfig().Scale(0.125)
 	cfg.MaxCycles = 256 * 1024
 	for _, b := range Suite() {
-		off := runCappedWatchdog(t, cfg, b, 0)
-		on := runCappedWatchdog(t, cfg, b, 32*1024)
+		off := runCapped(t, cfg, b, EngineHybrid, 0)
+		on := runCapped(t, cfg, b, EngineHybrid, 32*1024)
 		if off.outcome != on.outcome {
 			t.Errorf("%s: outcomes diverge\nwatchdog off: %s\nwatchdog on:  %s", b.Abbr, off.outcome, on.outcome)
 		}
@@ -127,17 +93,12 @@ func TestWatchdogCyclesOption(t *testing.T) {
 	}
 }
 
-// TestWatchdogCatchesWedgeOnNonZeroPartitionParallel: the partition
-// audit regression for the parallel engine. Fault targets are global
-// component indices resolved pre-run (before any worker goroutine
-// exists), and the watchdog samples its progress signature only at
-// batch boundaries while every worker is parked — so a fault injected
-// into a partition owned by a background worker, not the coordinator,
-// must be armed, simulated and detected exactly as under the serial
-// engines. Wedging the machine's LAST SM (highest partition, always a
-// background worker's block at full fan-out) would silently pass if
-// either Arm or the watchdog sampled only coordinator-owned state.
-func TestWatchdogCatchesWedgeOnNonZeroPartitionParallel(t *testing.T) {
+// TestWatchdogCatchesWedgeOnNonZeroPartition: the partition audit
+// regression. Fault targets are global component indices, and the
+// watchdog must sample every partition's state, not just partition 0's.
+// Wedging the machine's LAST SM (highest partition) would silently pass
+// if either Arm or the watchdog sampled only partition-0 state.
+func TestWatchdogCatchesWedgeOnNonZeroPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed")
 	}
@@ -153,23 +114,20 @@ func TestWatchdogCatchesWedgeOnNonZeroPartitionParallel(t *testing.T) {
 	}
 	spec := &fault.Spec{Faults: []fault.Fault{{Kind: fault.WedgeSM, Target: lastSM, At: 2000}}}
 	want := fmt.Sprintf("SM %d", lastSM)
-	for _, e := range []Engine{EngineHybrid, EngineParallel} {
-		_, err := Run(context.Background(), cfg, b,
-			WithEngine(e), WithPartitionWorkers(0),
-			WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}), WithArm(spec.Arm))
-		var he *HangError
-		if !errors.As(err, &he) {
-			t.Fatalf("%v engine: want *HangError, got %v", e, err)
+	_, err = Run(context.Background(), cfg, b,
+		WithWatchdog(WatchdogOptions{NoProgressCycles: 16384}), WithArm(spec.Arm))
+	var he *HangError
+	if !errors.As(err, &he) {
+		t.Fatalf("want *HangError, got %v", err)
+	}
+	found := false
+	for _, c := range he.Report.Stuck {
+		if c.Name == want {
+			found = true
 		}
-		found := false
-		for _, c := range he.Report.Stuck {
-			if c.Name == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%v engine: hang report does not name the wedged %s: %+v", e, want, he.Report.Stuck)
-		}
+	}
+	if !found {
+		t.Errorf("hang report does not name the wedged %s: %+v", want, he.Report.Stuck)
 	}
 }
 
